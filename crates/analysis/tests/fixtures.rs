@@ -96,6 +96,38 @@ fn guard_across_io_call_is_detected() {
 }
 
 #[test]
+fn guard_across_the_full_information_search_is_detected() {
+    // The one method every layer overrides, and the fallible path the
+    // scheduler dispatches through, are web-DB calls too.
+    let src = r#"
+        //! m.
+        fn wide(&self, q: &Query) -> (Response, Outcome, bool) {
+            let guard = self.state.lock();
+            let out = self.inner.search_observed_authoritative(q);
+            drop(guard);
+            out
+        }
+        fn fallible(&self, q: &Query) -> Result<(Response, bool), Error> {
+            let guard = self.state.lock();
+            let out = self.resilient.search_fallible(q);
+            drop(guard);
+            out
+        }
+    "#;
+    let found = finding_checks("qr2-core", src);
+    let lines: Vec<u32> = found
+        .iter()
+        .filter(|(c, _)| c == check::GUARD_IO)
+        .map(|(_, line)| *line)
+        .collect();
+    assert_eq!(
+        lines,
+        vec![5, 11],
+        "both guarded calls must be flagged: {found:?}"
+    );
+}
+
+#[test]
 fn guard_released_before_io_is_clean() {
     let src = r#"
         //! m.

@@ -41,8 +41,9 @@ use qr2_service::{
     Source, SourceRegistry,
 };
 use qr2_webdb::{
-    BreakerConfig, FaultScript, ResilientInterface, RetryPolicy, SearchQuery, SimulatedWebDb,
-    SourcePolicy, SystemRanking, TableBuilder, TopKInterface, TrafficShapedInterface,
+    BreakerConfig, FallibleSearch, FaultScript, ResilientInterface, RetryPolicy, SearchQuery,
+    SimulatedWebDb, SourcePolicy, SystemRanking, TableBuilder, TopKInterface,
+    TrafficShapedInterface,
 };
 
 use crate::report::Table;
@@ -245,7 +246,7 @@ pub fn run_fault_smoke(cfg: &FaultSmokeConfig) -> FaultSmokeReport {
     source.cache.flush().expect("flush");
     let q = SearchQuery::all();
     for _ in 0..FAILURE_THRESHOLD {
-        assert!(source.sched.resilient().search_resilient(&q).is_err());
+        assert!(source.sched.resilient().search_fallible(&q).is_err());
     }
     assert_eq!(source.sched.resilient().health().breaker, "open");
 
@@ -346,7 +347,7 @@ pub fn run_fault_smoke(cfg: &FaultSmokeConfig) -> FaultSmokeReport {
         let start = Instant::now();
         for _ in 0..OVERHEAD_PROBES {
             resilient
-                .search_resilient(&probe)
+                .search_fallible(&probe)
                 .expect("healthy probe succeeds");
         }
         resilient_us = resilient_us.min(start.elapsed().as_secs_f64() * 1e6);

@@ -69,7 +69,8 @@ impl CacheStats {
 
 enum FlightState {
     Pending,
-    Done(TopKResponse),
+    /// The leader's answer and its authoritative flag.
+    Done(TopKResponse, bool),
     /// The leader unwound without an answer; waiters retry themselves.
     Poisoned,
 }
@@ -97,21 +98,23 @@ impl Flight {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn wait(&self) -> Option<TopKResponse> {
+    fn wait(&self) -> Option<(TopKResponse, bool)> {
         let mut state = self.state();
         loop {
             match &*state {
                 FlightState::Pending => {
                     state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
                 }
-                FlightState::Done(resp) => return Some(resp.clone()),
+                FlightState::Done(resp, authoritative) => {
+                    return Some((resp.clone(), *authoritative))
+                }
                 FlightState::Poisoned => return None,
             }
         }
     }
 
-    fn complete(&self, resp: TopKResponse) {
-        *self.state() = FlightState::Done(resp);
+    fn complete(&self, resp: TopKResponse, authoritative: bool) {
+        *self.state() = FlightState::Done(resp, authoritative);
         self.cv.notify_all();
     }
 
@@ -205,7 +208,7 @@ impl Shard {
 ///
 /// * **Thread-safe and sharded** — only same-shard keys contend;
 /// * **single-flight** — N concurrent requests for one uncached key issue
-///   exactly one web-DB query ([`AnswerCache::get_or_fetch`]);
+///   exactly one web-DB query ([`AnswerCache::get_or_fetch_observed`]);
 /// * **bounded** — per-config LRU capacity;
 /// * **persistent** — optionally write-through to an [`AnswerStore`],
 ///   warm-started at construction and invalidated by epoch
@@ -340,46 +343,24 @@ impl AnswerCache {
         Ok(epoch)
     }
 
-    /// [`get_or_fetch_checked`](AnswerCache::get_or_fetch_checked) for
-    /// fetchers whose answers are always authoritative.
-    pub fn get_or_fetch(
-        &self,
-        key: &[u8],
-        fetch: impl FnOnce() -> TopKResponse,
-    ) -> (TopKResponse, SearchOutcome) {
-        self.get_or_fetch_checked(key, || (fetch(), true))
-    }
-
     /// Look `key` up; on a miss, run `fetch` exactly once across all
     /// concurrent callers of the same key (single-flight) and cache the
-    /// answer. The fetcher's second return value marks the answer
-    /// *authoritative*: a degraded answer (a gateway mapping an outage to
-    /// an empty page) is served to this call and its coalesced waiters
-    /// but never admitted to the cache or the store. The
-    /// [`SearchOutcome`] reports how this caller was served.
-    pub fn get_or_fetch_checked(
-        &self,
-        key: &[u8],
-        fetch: impl FnOnce() -> (TopKResponse, bool),
-    ) -> (TopKResponse, SearchOutcome) {
-        self.get_or_fetch_observed(key, || {
-            let (answer, authoritative) = fetch();
-            (answer, SearchOutcome::MISS, authoritative)
-        })
-    }
-
-    /// [`get_or_fetch_checked`](AnswerCache::get_or_fetch_checked) for
-    /// fetchers that report their *own* [`SearchOutcome`] — e.g. a
-    /// scheduler below the cache whose frontier coalescing answered the
-    /// fetch from another session's covering probe for free. On a miss the
-    /// single-flight leader returns the fetcher's outcome instead of
-    /// assuming a paid [`SearchOutcome::MISS`], so cost accounting above
-    /// the cache stays truthful; waiters still report a coalesced hit.
+    /// answer. Returns the answer, how this caller was served, and
+    /// whether the answer is authoritative.
+    ///
+    /// The fetcher reports its *own* [`SearchOutcome`] — a scheduler
+    /// below the cache may have answered the fetch for free from another
+    /// session's covering probe — and the single-flight leader returns it
+    /// instead of assuming a paid [`SearchOutcome::MISS`]; waiters report
+    /// a coalesced hit. The fetcher's authoritative flag is returned to
+    /// the leader and carried to its waiters: a degraded answer (a failed
+    /// probe's empty page) is served to them but never admitted to the
+    /// cache or the store. Hits are authoritative by construction.
     pub fn get_or_fetch_observed(
         &self,
         key: &[u8],
         fetch: impl FnOnce() -> (TopKResponse, SearchOutcome, bool),
-    ) -> (TopKResponse, SearchOutcome) {
+    ) -> (TopKResponse, SearchOutcome, bool) {
         // qr2-allow: panic-path shard_of masks with shard_mask, always in range
         let shard = &self.shards[self.shard_of(key)];
         loop {
@@ -394,6 +375,7 @@ impl AnswerCache {
                         cache_hit: true,
                         coalesced: false,
                     },
+                    true,
                 );
             }
             let flight = match guard.flights.get(key) {
@@ -407,7 +389,7 @@ impl AnswerCache {
             };
             drop(guard);
             match flight.wait() {
-                Some(answer) => {
+                Some((answer, authoritative)) => {
                     self.coalesced.fetch_add(1, Ordering::Relaxed);
                     return (
                         answer,
@@ -415,6 +397,7 @@ impl AnswerCache {
                             cache_hit: false,
                             coalesced: true,
                         },
+                        authoritative,
                     );
                 }
                 // Leader unwound: loop and try to become the leader.
@@ -429,7 +412,7 @@ impl AnswerCache {
         key: &[u8],
         flight: Arc<Flight>,
         fetch: impl FnOnce() -> (TopKResponse, SearchOutcome, bool),
-    ) -> (TopKResponse, SearchOutcome) {
+    ) -> (TopKResponse, SearchOutcome, bool) {
         let epoch_at_start = self.epoch();
         let mut guard = FlightGuard {
             shard,
@@ -464,7 +447,7 @@ impl AnswerCache {
         // Release the waiters before touching disk: the answer is already
         // admitted to memory, so coalesced callers must not stall behind
         // the store mutex or its log writes.
-        flight.complete(answer.clone());
+        flight.complete(answer.clone(), authoritative);
         self.misses.fetch_add(1, Ordering::Relaxed);
         // `evicted` is non-empty only when the insert ran, i.e. when the
         // answer was admitted.
@@ -484,7 +467,7 @@ impl AnswerCache {
                 }
             }
         }
-        (answer, fetch_outcome)
+        (answer, fetch_outcome, authoritative)
     }
 }
 
@@ -500,12 +483,17 @@ mod tests {
         )
     }
 
+    /// A fetcher result for a paid, authoritative answer.
+    fn paid(answer: TopKResponse) -> (TopKResponse, SearchOutcome, bool) {
+        (answer, SearchOutcome::MISS, true)
+    }
+
     #[test]
     fn hit_after_miss() {
         let c = AnswerCache::new(CacheConfig::default());
-        let (a, o) = c.get_or_fetch(b"k", || resp(1));
+        let (a, o, _) = c.get_or_fetch_observed(b"k", || paid(resp(1)));
         assert_eq!(o, SearchOutcome::MISS);
-        let (b, o) = c.get_or_fetch(b"k", || panic!("must not refetch"));
+        let (b, o, _) = c.get_or_fetch_observed(b"k", || panic!("must not refetch"));
         assert!(o.cache_hit);
         assert_eq!(a, b);
         let s = c.stats();
@@ -516,8 +504,8 @@ mod tests {
     #[test]
     fn hits_share_tuple_storage_instead_of_deep_cloning() {
         let c = AnswerCache::new(CacheConfig::default());
-        let (a, _) = c.get_or_fetch(b"k", || resp(1));
-        let (b, o) = c.get_or_fetch(b"k", || panic!("cached"));
+        let (a, _, _) = c.get_or_fetch_observed(b"k", || paid(resp(1)));
+        let (b, o, _) = c.get_or_fetch_observed(b"k", || panic!("cached"));
         assert!(o.cache_hit);
         assert!(
             Arc::ptr_eq(&a.tuples, &b.tuples),
@@ -531,26 +519,26 @@ mod tests {
             shards: 1,
             capacity: 2,
         });
-        c.get_or_fetch(b"a", || resp(1));
-        c.get_or_fetch(b"b", || resp(2));
-        c.get_or_fetch(b"a", || panic!("a is cached")); // touch a
-        c.get_or_fetch(b"c", || resp(3)); // evicts b
+        c.get_or_fetch_observed(b"a", || paid(resp(1)));
+        c.get_or_fetch_observed(b"b", || paid(resp(2)));
+        c.get_or_fetch_observed(b"a", || panic!("a is cached")); // touch a
+        c.get_or_fetch_observed(b"c", || paid(resp(3))); // evicts b
         assert_eq!(c.len(), 2);
         assert_eq!(c.stats().evictions, 1);
-        let (_, o) = c.get_or_fetch(b"a", || panic!("a survived"));
+        let (_, o, _) = c.get_or_fetch_observed(b"a", || panic!("a survived"));
         assert!(o.cache_hit);
-        let (_, o) = c.get_or_fetch(b"b", || resp(2));
+        let (_, o, _) = c.get_or_fetch_observed(b"b", || paid(resp(2)));
         assert_eq!(o, SearchOutcome::MISS, "b was evicted");
     }
 
     #[test]
     fn flush_clears_and_bumps_epoch() {
         let c = AnswerCache::new(CacheConfig::default());
-        c.get_or_fetch(b"a", || resp(1));
+        c.get_or_fetch_observed(b"a", || paid(resp(1)));
         assert_eq!(c.epoch(), 0);
         assert_eq!(c.flush().unwrap(), 1);
         assert!(c.is_empty());
-        let (_, o) = c.get_or_fetch(b"a", || resp(1));
+        let (_, o, _) = c.get_or_fetch_observed(b"a", || paid(resp(1)));
         assert_eq!(o, SearchOutcome::MISS);
     }
 
@@ -570,12 +558,12 @@ mod tests {
         let c2 = Arc::clone(&c);
         let leader = std::thread::spawn(move || {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                c2.get_or_fetch(b"k", || panic!("leader dies"));
+                c2.get_or_fetch_observed(b"k", || panic!("leader dies"));
             }));
         });
         leader.join().unwrap();
         // The key is not wedged: a later caller becomes the new leader.
-        let (a, o) = c.get_or_fetch(b"k", || resp(7));
+        let (a, o, _) = c.get_or_fetch_observed(b"k", || paid(resp(7)));
         assert_eq!(o, SearchOutcome::MISS);
         assert_eq!(a, resp(7));
     }
@@ -583,27 +571,79 @@ mod tests {
     #[test]
     fn non_authoritative_answers_are_served_but_never_admitted() {
         let c = AnswerCache::new(CacheConfig::default());
-        let (a, o) = c.get_or_fetch_checked(b"k", || (resp(1), false));
+        let (a, o, authoritative) =
+            c.get_or_fetch_observed(b"k", || (resp(1), SearchOutcome::MISS, false));
         assert_eq!(a, resp(1), "the degraded answer is still served");
         assert_eq!(o, SearchOutcome::MISS);
+        assert!(!authoritative, "the leader reports the fetcher's flag");
         assert!(c.is_empty(), "an outage must not be remembered");
         // The next caller refetches and, once authoritative, it sticks.
-        let (b, o) = c.get_or_fetch_checked(b"k", || (resp(2), true));
+        let (b, o, authoritative) = c.get_or_fetch_observed(b"k", || paid(resp(2)));
         assert_eq!(o, SearchOutcome::MISS);
+        assert!(authoritative);
         assert_eq!(b, resp(2));
-        let (cached, o) = c.get_or_fetch(b"k", || panic!("cached now"));
+        let (cached, o, authoritative) = c.get_or_fetch_observed(b"k", || panic!("cached now"));
         assert!(o.cache_hit);
+        assert!(authoritative, "hits are authoritative by construction");
         assert_eq!(cached, resp(2));
+    }
+
+    #[test]
+    fn waiters_inherit_the_leaders_authoritative_flag() {
+        let c = Arc::new(AnswerCache::new(CacheConfig::default()));
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let leader = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                c.get_or_fetch_observed(b"k", || {
+                    gate.recv().ok();
+                    (TopKResponse::empty(), SearchOutcome::MISS, false)
+                })
+            })
+        };
+        // References to the pending flight: the shard map's and the
+        // leader's, plus one per waiter blocked on it.
+        let flight_refs = || -> usize {
+            c.shards
+                .iter()
+                .map(|s| {
+                    s.lock()
+                        .flights
+                        .values()
+                        .map(Arc::strong_count)
+                        .sum::<usize>()
+                })
+                .sum()
+        };
+        while flight_refs() < 2 {
+            std::thread::yield_now();
+        }
+        let waiter = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || c.get_or_fetch_observed(b"k", || panic!("coalesced")))
+        };
+        while flight_refs() < 3 {
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+        let (_, lead_outcome, lead_auth) = leader.join().unwrap();
+        let (page, outcome, authoritative) = waiter.join().unwrap();
+        assert_eq!(lead_outcome, SearchOutcome::MISS);
+        assert!(!lead_auth);
+        assert!(outcome.coalesced, "the waiter shared the leader's fetch");
+        assert!(!authoritative, "a degraded page stays degraded for waiters");
+        assert!(page.tuples.is_empty());
+        assert!(c.is_empty());
     }
 
     #[test]
     fn distinct_keys_do_not_collide() {
         let c = AnswerCache::new(CacheConfig::default());
-        c.get_or_fetch(b"a", || resp(1));
-        let (b, o) = c.get_or_fetch(b"b", || resp(2));
+        c.get_or_fetch_observed(b"a", || paid(resp(1)));
+        let (b, o, _) = c.get_or_fetch_observed(b"b", || paid(resp(2)));
         assert_eq!(o, SearchOutcome::MISS);
         assert_eq!(b, resp(2));
-        let (a, _) = c.get_or_fetch(b"a", || panic!("cached"));
+        let (a, _, _) = c.get_or_fetch_observed(b"a", || panic!("cached"));
         assert_eq!(a, resp(1));
     }
 }

@@ -60,31 +60,28 @@ impl TopKInterface for CachedInterface {
     }
 
     fn search(&self, q: &SearchQuery) -> TopKResponse {
-        self.search_observed(q).0
+        self.search_observed_authoritative(q).0
     }
 
     fn ledger(&self) -> &QueryLedger {
         self.inner.ledger()
     }
 
-    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
+    fn search_observed_authoritative(
+        &self,
+        q: &SearchQuery,
+    ) -> (TopKResponse, SearchOutcome, bool) {
         let key = cache_key(self.inner.schema(), q);
-        // Degraded answers (a remote gateway mapping an outage to an
-        // empty page) are served but never admitted — an outage must not
-        // be remembered as the permanent answer. The fetch reports its own
-        // outcome: when the inner interface is a scheduler whose frontier
-        // coalescing served the fetch for free, the miss is *not* charged
-        // as a paid query upstream.
+        // Degraded answers (a failed or cancelled probe's empty page) are
+        // served but never admitted — an outage must not be remembered as
+        // the permanent answer — and keep their flag on the way up. The
+        // fetch reports its own outcome: when the inner interface is a
+        // scheduler whose frontier coalescing served the fetch for free,
+        // the miss is *not* charged as a paid query upstream.
         self.lookup_stage.time(|| {
             self.cache
                 .get_or_fetch_observed(&key, || self.inner.search_observed_authoritative(q))
         })
-    }
-
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
-        // Cache hits are authoritative by construction: degraded answers
-        // are never admitted.
-        (self.search_observed(q).0, true)
     }
 }
 
@@ -152,6 +149,53 @@ mod tests {
             1,
             "all three are the same canonical question"
         );
+    }
+
+    /// An inner interface whose every page is degraded, the way a
+    /// scheduler answers a failed probe: empty, free, non-authoritative.
+    struct Down(Arc<SimulatedWebDb>);
+
+    impl TopKInterface for Down {
+        fn schema(&self) -> &Schema {
+            self.0.schema()
+        }
+        fn system_k(&self) -> usize {
+            self.0.system_k()
+        }
+        fn search(&self, q: &SearchQuery) -> TopKResponse {
+            self.search_observed_authoritative(q).0
+        }
+        fn ledger(&self) -> &QueryLedger {
+            self.0.ledger()
+        }
+        fn search_observed_authoritative(
+            &self,
+            _q: &SearchQuery,
+        ) -> (TopKResponse, SearchOutcome, bool) {
+            let free = SearchOutcome {
+                cache_hit: false,
+                coalesced: true,
+            };
+            (TopKResponse::empty(), free, false)
+        }
+    }
+
+    #[test]
+    fn degraded_pages_keep_their_flag_and_are_never_cached() {
+        let c = CachedInterface::new(
+            Arc::new(Down(db())),
+            Arc::new(AnswerCache::new(CacheConfig::default())),
+        );
+        let q = SearchQuery::all();
+        let (page, outcome, authoritative) = c.search_observed_authoritative(&q);
+        assert!(page.tuples.is_empty());
+        assert!(outcome.is_free(), "the inner outcome passes through");
+        assert!(
+            !authoritative,
+            "a degraded page must not turn authoritative"
+        );
+        assert!(!c.search_authoritative(&q).1, "every projection agrees");
+        assert!(c.cache().is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use qr2_crawler::{Crawler, CrawlerConfig};
+use qr2_crawler::{CrawlOutcome, Crawler, CrawlerConfig};
 use qr2_store::DenseRegionStore;
 use qr2_webdb::{SearchQuery, Tuple};
 
@@ -112,6 +112,9 @@ impl DenseIndex {
     /// Serve `region` from the cache, crawling it (through `ctx.db()`) on a
     /// miss and inserting the result. Crawl probes are recorded on the
     /// context ledger as sequential rounds. Returns the tuples of `region`.
+    /// A crawl cut short by a degraded probe
+    /// ([`CrawlOutcome::Interrupted`]) returns what it retrieved but is
+    /// never inserted: the region's contents are unknown.
     pub fn get_or_crawl(&self, ctx: &SearchCtx, region: &SearchQuery) -> Vec<Tuple> {
         if let Some(ts) = self.lookup(region) {
             return ts;
@@ -130,10 +133,12 @@ impl DenseIndex {
             stats.misses += 1;
             stats.crawl_queries += result.queries;
         }
-        let mut store = self.store.lock();
-        store
-            .insert(region.clone(), result.tuples.clone())
-            .expect("dense store insert failed");
+        if result.outcome != CrawlOutcome::Interrupted {
+            self.store
+                .lock()
+                .insert(region.clone(), result.tuples.clone())
+                .expect("dense store insert failed");
+        }
         result.tuples
     }
 

@@ -437,15 +437,15 @@ mod tests {
             self.inner.system_k()
         }
         fn search(&self, q: &SearchQuery) -> qr2_webdb::TopKResponse {
-            self.search_observed(q).0
+            self.search_observed_authoritative(q).0
         }
         fn ledger(&self) -> &qr2_webdb::QueryLedger {
             self.inner.ledger()
         }
-        fn search_observed(
+        fn search_observed_authoritative(
             &self,
             q: &SearchQuery,
-        ) -> (qr2_webdb::TopKResponse, qr2_webdb::SearchOutcome) {
+        ) -> (qr2_webdb::TopKResponse, qr2_webdb::SearchOutcome, bool) {
             if let Some(resp) = self.memo.lock().get(q) {
                 return (
                     resp.clone(),
@@ -453,11 +453,12 @@ mod tests {
                         cache_hit: true,
                         coalesced: false,
                     },
+                    true,
                 );
             }
             let resp = self.inner.search(q);
             self.memo.lock().insert(q.clone(), resp.clone());
-            (resp, qr2_webdb::SearchOutcome::MISS)
+            (resp, qr2_webdb::SearchOutcome::MISS, true)
         }
     }
 
@@ -515,16 +516,16 @@ mod tests {
             self.0.system_k()
         }
         fn search(&self, q: &SearchQuery) -> qr2_webdb::TopKResponse {
-            self.search_observed(q).0
+            self.search_observed_authoritative(q).0
         }
         fn ledger(&self) -> &qr2_webdb::QueryLedger {
             self.0.ledger()
         }
-        fn search_observed(
+        fn search_observed_authoritative(
             &self,
             q: &SearchQuery,
-        ) -> (qr2_webdb::TopKResponse, qr2_webdb::SearchOutcome) {
-            qr2_obs::span("test.executor", || self.0.search_observed(q))
+        ) -> (qr2_webdb::TopKResponse, qr2_webdb::SearchOutcome, bool) {
+            qr2_obs::span("test.executor", || self.0.search_observed_authoritative(q))
         }
     }
 

@@ -38,6 +38,11 @@ pub enum CrawlOutcome {
     /// reveal them all. The visible `system-k` of each such region are
     /// included in the result.
     AtomicOverflow,
+    /// A probe came back degraded (non-authoritative: a failed or
+    /// cancelled probe's empty page), so the crawl stopped there. The
+    /// result holds only what was retrieved before it and must not be
+    /// stored as the region's contents.
+    Interrupted,
 }
 
 /// Result of a crawl.
@@ -104,7 +109,7 @@ impl<'a, D: TopKInterface + ?Sized> Crawler<'a, D> {
                 outcome = CrawlOutcome::BudgetExhausted;
                 break;
             }
-            let (resp, probe) = self.db.search_observed(&q);
+            let (resp, probe, authoritative) = self.db.search_observed_authoritative(&q);
             if probe.cache_hit {
                 cache_hits += 1;
             } else if probe.coalesced {
@@ -113,6 +118,11 @@ impl<'a, D: TopKInterface + ?Sized> Crawler<'a, D> {
                 queries += 1;
             }
             max_depth = max_depth.max(depth);
+            if !authoritative {
+                // A degraded page says nothing about the region.
+                outcome = CrawlOutcome::Interrupted;
+                break;
+            }
             for t in resp.tuples.iter() {
                 found.entry(t.id).or_insert_with(|| t.clone());
             }
@@ -335,5 +345,60 @@ mod tests {
         assert!(res.is_complete());
         assert!(res.tuples.is_empty());
         assert_eq!(res.queries, 1);
+    }
+
+    /// Serves `healthy` probes, then only degraded (non-authoritative)
+    /// empty pages — a source that went down mid-crawl.
+    struct FailsAfter {
+        inner: SimulatedWebDb,
+        healthy: usize,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl TopKInterface for FailsAfter {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn system_k(&self) -> usize {
+            self.inner.system_k()
+        }
+        fn search(&self, q: &SearchQuery) -> qr2_webdb::TopKResponse {
+            self.search_observed_authoritative(q).0
+        }
+        fn ledger(&self) -> &qr2_webdb::QueryLedger {
+            self.inner.ledger()
+        }
+        fn search_observed_authoritative(
+            &self,
+            q: &SearchQuery,
+        ) -> (qr2_webdb::TopKResponse, qr2_webdb::SearchOutcome, bool) {
+            let n = self
+                .calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if n < self.healthy {
+                self.inner.search_observed_authoritative(q)
+            } else {
+                let free = qr2_webdb::SearchOutcome {
+                    cache_hit: false,
+                    coalesced: true,
+                };
+                (qr2_webdb::TopKResponse::empty(), free, false)
+            }
+        }
+    }
+
+    #[test]
+    fn degraded_page_interrupts_the_crawl() {
+        let db = FailsAfter {
+            inner: grid_db(5),
+            healthy: 3,
+            calls: std::sync::atomic::AtomicUsize::new(0),
+        };
+        let res = crawl(&db, &SearchQuery::all());
+        assert_eq!(res.outcome, CrawlOutcome::Interrupted);
+        assert!(!res.is_complete());
+        assert_eq!(res.queries, 3, "the degraded probe was free");
+        assert_eq!(res.coalesced, 1);
+        assert!(res.tuples.len() < 64, "only what came before the outage");
     }
 }

@@ -103,7 +103,9 @@ impl Default for JobOptions {
 pub struct JobReport {
     /// Job id (unique per source).
     pub job_id: u64,
-    /// `"complete"`, `"budget_exhausted"`, or `"cancelled"`.
+    /// `"complete"`, `"budget_exhausted"`, `"cancelled"` (the job's
+    /// token was set), or `"failed"` (a probe came back degraded — the
+    /// source failed it — and the region went back on the work-list).
     pub state: &'static str,
     /// Paid web-DB queries this job spent.
     pub paid_queries: usize,
@@ -145,7 +147,8 @@ impl std::error::Error for ReconJobError {}
 pub struct JobStatus {
     /// Job id.
     pub id: u64,
-    /// `"running"` or the finished job's [`JobReport::state`].
+    /// `"running"` or the finished job's [`JobReport::state`]:
+    /// `"complete"`, `"budget_exhausted"`, `"cancelled"`, or `"failed"`.
     pub state: &'static str,
 }
 
@@ -541,12 +544,24 @@ impl ReconIndex {
                 state_str = "complete";
                 break;
             };
-            let (resp, outcome) = db.search_observed(&q);
+            let (resp, outcome, authoritative) = db.search_observed_authoritative(&q);
             if outcome.is_free() {
                 free += 1;
             } else {
                 paid += 1;
                 since_checkpoint += 1;
+            }
+            if !authoritative {
+                // A degraded page (failed or cancelled probe) says nothing
+                // about the region: it stays on the work-list and the job
+                // ends here.
+                worklist.push((q, depth));
+                state_str = if cancel.is_cancelled() {
+                    "cancelled"
+                } else {
+                    "failed"
+                };
+                break;
             }
             batch.extend(resp.tuples.iter().cloned());
             if resp.overflow {
@@ -586,8 +601,9 @@ impl ReconIndex {
             }
         }
 
-        // Final checkpoint. A cancelled or exhausted job pushes its
-        // unfinished region back so the frontier stays a superset.
+        // Final checkpoint. Unfinished regions (including one a degraded
+        // probe failed) are still on the work-list, so the frontier stays
+        // a superset of the truly uncovered regions.
         let (added, errors) = self.checkpoint(
             &mut batch,
             &worklist,
@@ -977,16 +993,22 @@ mod tests {
                 self.inner.system_k()
             }
             fn search(&self, q: &SearchQuery) -> TopKResponse {
+                self.search_observed_authoritative(q).0
+            }
+            fn ledger(&self) -> &qr2_webdb::QueryLedger {
+                self.inner.ledger()
+            }
+            fn search_observed_authoritative(
+                &self,
+                q: &SearchQuery,
+            ) -> (TopKResponse, qr2_webdb::SearchOutcome, bool) {
                 let ctx = qr2_sched::context::current();
                 if ctx.class == QueryClass::Background && ctx.key != 0 {
                     self.background.fetch_add(1, Ordering::Relaxed);
                 } else {
                     self.other.fetch_add(1, Ordering::Relaxed);
                 }
-                self.inner.search(q)
-            }
-            fn ledger(&self) -> &qr2_webdb::QueryLedger {
-                self.inner.ledger()
+                self.inner.search_observed_authoritative(q)
             }
         }
         let spy = ClassSpy {
@@ -1002,6 +1024,102 @@ mod tests {
             0,
             "every reconstruction probe must run as keyed background work"
         );
+    }
+
+    /// Serves `healthy` probes, then only degraded (non-authoritative)
+    /// empty pages, the way a scheduler answers a probe it failed. With
+    /// `cancel`, the first degraded probe also cancels the ambient job,
+    /// like a probe whose session was cancelled while it queued.
+    struct Degrades {
+        inner: SimulatedWebDb,
+        healthy: usize,
+        cancel: bool,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Degrades {
+        fn new(healthy: usize, cancel: bool) -> Degrades {
+            Degrades {
+                inner: grid_inner(5),
+                healthy,
+                cancel,
+                calls: std::sync::atomic::AtomicUsize::new(0),
+            }
+        }
+    }
+
+    impl TopKInterface for Degrades {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn system_k(&self) -> usize {
+            self.inner.system_k()
+        }
+        fn search(&self, q: &SearchQuery) -> TopKResponse {
+            self.search_observed_authoritative(q).0
+        }
+        fn ledger(&self) -> &qr2_webdb::QueryLedger {
+            self.inner.ledger()
+        }
+        fn search_observed_authoritative(
+            &self,
+            q: &SearchQuery,
+        ) -> (TopKResponse, qr2_webdb::SearchOutcome, bool) {
+            let n = self
+                .calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if n < self.healthy {
+                return self.inner.search_observed_authoritative(q);
+            }
+            if self.cancel {
+                if let Some(token) = qr2_sched::context::current().cancel {
+                    token.cancel();
+                }
+            }
+            let free = qr2_webdb::SearchOutcome {
+                cache_hit: false,
+                coalesced: true,
+            };
+            (TopKResponse::empty(), free, false)
+        }
+    }
+
+    #[test]
+    fn degraded_probe_fails_the_job_and_keeps_the_region_pending() {
+        let idx = ReconIndex::ephemeral();
+        let report = idx
+            .run_job(&Degrades::new(3, false), &JobOptions::default(), 0)
+            .unwrap();
+        assert_eq!(report.state, "failed");
+        assert_eq!(report.paid_queries, 3);
+        assert_eq!(report.free_lookups, 1);
+        let status = idx.status(grid_inner(5).schema(), 0);
+        assert_eq!(status.state, "partial");
+        assert!(
+            status.pending_regions > 0,
+            "the failed region stays pending"
+        );
+        assert!(status.tuples < 64);
+        assert!(!idx.covered(&SearchQuery::all(), 0));
+        assert_eq!(status.job.map(|j| j.state), Some("failed"));
+        // A healthy follow-up job resumes the frontier and completes.
+        let report = idx
+            .run_job(&*grid_db(5), &JobOptions::default(), 0)
+            .unwrap();
+        assert_eq!(report.state, "complete");
+        assert!(idx.covered(&SearchQuery::all(), 0));
+        assert_eq!(idx.state.read().tuples.len(), 64);
+    }
+
+    #[test]
+    fn degraded_probe_of_a_cancelled_job_ends_it_cancelled() {
+        let idx = ReconIndex::ephemeral();
+        let report = idx
+            .run_job(&Degrades::new(2, true), &JobOptions::default(), 0)
+            .unwrap();
+        assert_eq!(report.state, "cancelled");
+        assert!(idx.status(grid_inner(5).schema(), 0).pending_regions > 0);
+        assert!(!idx.covered(&SearchQuery::all(), 0));
     }
 
     #[test]

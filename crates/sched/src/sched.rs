@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use qr2_webdb::{
-    Admission, QueryLedger, ResilientInterface, Schema, SearchError, SearchOutcome, SearchQuery,
-    Throttled, TopKInterface, TopKResponse, TrafficShapedInterface,
+    Admission, FallibleSearch, QueryLedger, ResilientInterface, Schema, SearchError, SearchOutcome,
+    SearchQuery, Throttled, TopKInterface, TopKResponse, TrafficShapedInterface,
 };
 
 use crate::coalesce::derive_answer;
@@ -29,11 +29,6 @@ pub struct SchedConfig {
     /// Hard ceiling on concurrently in-flight probes (further bounded by
     /// the source policy's own concurrency cap).
     pub max_inflight: usize,
-    /// Retained for config compatibility. Queue-delay percentiles now come
-    /// from the shared qr2-obs histogram (`qr2_sched_queue_delay_us`),
-    /// which keeps all samples in fixed-size log-linear buckets instead of
-    /// a bounded reservoir.
-    pub delay_samples: usize,
     /// Idle back-off for a waiter when there is nothing to dispatch.
     pub poll_interval: Duration,
     /// How long a probe may sit parked behind an unhealthy source (open
@@ -50,7 +45,6 @@ impl Default for SchedConfig {
             max_admission_wait: Duration::from_secs(30),
             quantum: 1,
             max_inflight: 64,
-            delay_samples: 512,
             poll_interval: Duration::from_millis(5),
             max_outage_park: Duration::from_millis(500),
         }
@@ -813,7 +807,7 @@ impl SourceScheduler {
         probe.set_state(ProbeState::InFlight);
         let query = probe.query.lock().clone();
         let waited = probe.enqueued.elapsed();
-        match self.resilient.search_resilient(&query) {
+        match self.resilient.search_fallible(&query) {
             Ok((resp, authoritative)) => {
                 match probe.class {
                     QueryClass::Interactive => {
@@ -908,16 +902,6 @@ impl TopKInterface for ScheduledInterface {
 
     fn ledger(&self) -> &QueryLedger {
         self.sched.shaped.ledger()
-    }
-
-    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
-        let (resp, outcome, _) = self.sched.submit(q);
-        (resp, outcome)
-    }
-
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
-        let (resp, _, authoritative) = self.sched.submit(q);
-        (resp, authoritative)
     }
 
     fn search_observed_authoritative(
@@ -1038,7 +1022,7 @@ mod tests {
         // Drain the single burst token.
         let x = sched.shaped().schema().expect_id("x");
         let burner = SearchQuery::all().and_range(x, RangePred::closed(990.0, 1000.0));
-        assert!(sched.shaped().try_search(&burner).is_ok());
+        assert!(sched.shaped().search_fallible(&burner).is_ok());
         let before = db.ledger().total();
 
         let key = next_session_key();
@@ -1186,7 +1170,7 @@ mod tests {
         );
         assert!(sched.admit().is_ok(), "token available: admit");
         // Burn the token; now a new probe waits ~100s > 1s.
-        assert!(sched.shaped().try_search(&SearchQuery::all()).is_ok());
+        assert!(sched.shaped().search_fallible(&SearchQuery::all()).is_ok());
         let denial = sched.admit().expect_err("saturated");
         assert!(denial.retry_after > Duration::from_secs(1));
         assert_eq!(sched.stats().rejected, 1);

@@ -667,7 +667,9 @@ impl IntoJson for ReconJobResponse {
 }
 
 /// `GET /v1/sources/:source/recon` response: the source's reconstruction
-/// panel.
+/// panel. Its `job.state` is `"running"` or the finished job's
+/// [`qr2_recon::JobReport::state`] — `"failed"` when a degraded probe
+/// (the source failed it) ended the job with the region still pending.
 #[derive(Debug, Clone)]
 pub struct ReconStatusResponse {
     /// The source key.

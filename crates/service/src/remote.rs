@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use qr2_http::{parse_json, HttpServer, Json, Method, Response, Router, Status};
 use qr2_webdb::{
-    AttrId, CatSet, Predicate, QueryLedger, RangePred, Schema, SearchQuery, TopKInterface,
-    TopKResponse, Tuple, TupleId, Value,
+    AttrId, CatSet, Predicate, QueryLedger, RangePred, Schema, SearchOutcome, SearchQuery,
+    TopKInterface, TopKResponse, Tuple, TupleId, Value,
 };
 
 // ---------------------------------------------------------------------------
@@ -291,14 +291,18 @@ impl TopKInterface for RemoteWebDb {
     }
 
     fn search(&self, q: &SearchQuery) -> TopKResponse {
-        self.search_authoritative(q).0
+        self.search_observed_authoritative(q).0
     }
 
     /// A failed round trip is returned as an empty, non-overflowing page
     /// — the algorithms treat it as "no matches", the conservative read
     /// of an unreachable site — but flagged **non-authoritative** so a
-    /// caching layer never remembers the outage as the real answer.
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
+    /// caching layer never remembers the outage as the real answer. The
+    /// round trip was attempted either way, so it reports a paid miss.
+    fn search_observed_authoritative(
+        &self,
+        q: &SearchQuery,
+    ) -> (TopKResponse, SearchOutcome, bool) {
         let payload = query_to_json(q).to_string();
         let parsed = http_request(self.addr, "POST", "/dbapi/search", Some(&payload))
             .ok()
@@ -328,7 +332,11 @@ impl TopKInterface for RemoteWebDb {
             tuples.len(),
             overflow,
         );
-        (TopKResponse::new(tuples, overflow), authoritative)
+        (
+            TopKResponse::new(tuples, overflow),
+            SearchOutcome::MISS,
+            authoritative,
+        )
     }
 
     fn ledger(&self) -> &QueryLedger {

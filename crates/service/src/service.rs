@@ -1153,7 +1153,9 @@ mod tests {
     use qr2_core::DenseIndex;
     use qr2_datagen::{bluenile_db, DiamondsConfig};
     use qr2_sched::SchedConfig;
-    use qr2_webdb::{BreakerConfig, FaultScript, RetryPolicy, SourcePolicy, TopKInterface};
+    use qr2_webdb::{
+        BreakerConfig, FallibleSearch, FaultScript, RetryPolicy, SourcePolicy, TopKInterface,
+    };
 
     /// One-source registry over a fault-scripted diamonds db; `crawl`
     /// reconstructs the full rank order offline (at epoch 0) first.
@@ -1217,7 +1219,7 @@ mod tests {
         let source = reg.get("bluenile").unwrap();
         let q = SearchQuery::all();
         for _ in 0..n {
-            assert!(source.sched.resilient().search_resilient(&q).is_err());
+            assert!(source.sched.resilient().search_fallible(&q).is_err());
         }
         assert_eq!(source.sched.resilient().health().breaker_code, 2);
     }

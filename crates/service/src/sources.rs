@@ -118,26 +118,11 @@ impl TopKInterface for ReconFeedInterface {
     }
 
     fn search(&self, q: &SearchQuery) -> TopKResponse {
-        let (resp, _) = self.search_observed(q);
-        resp
+        self.search_observed_authoritative(q).0
     }
 
     fn ledger(&self) -> &QueryLedger {
         self.inner.ledger()
-    }
-
-    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
-        let (resp, outcome) = self.inner.search_observed(q);
-        self.recon.feed_observed(q, &resp, self.cache.epoch());
-        (resp, outcome)
-    }
-
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
-        let (resp, authoritative) = self.inner.search_authoritative(q);
-        if authoritative {
-            self.recon.feed_observed(q, &resp, self.cache.epoch());
-        }
-        (resp, authoritative)
     }
 
     fn search_observed_authoritative(

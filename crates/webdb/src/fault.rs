@@ -35,7 +35,7 @@ use std::time::Duration;
 
 use crate::interface::TopKResponse;
 use crate::predicate::SearchQuery;
-use crate::traffic::{Throttled, TrafficShapedInterface};
+use crate::traffic::Throttled;
 
 /// Every way a paid probe against a web database can fail, generalizing
 /// the PR 7 [`Throttled`]-only fallible path.
@@ -118,22 +118,16 @@ impl std::fmt::Display for SearchError {
 
 /// The generalized fallible search surface: any layer that can execute a
 /// probe and fail with a [`SearchError`]. Implemented by the PR 7
-/// [`TrafficShapedInterface`] (whose only failure is `Throttled`), by
-/// [`FaultInjectingInterface`], and by the resilience layer — so fault
-/// injection and retries stack in any order over the shaped source.
+/// [`TrafficShapedInterface`](crate::TrafficShapedInterface) (whose only
+/// failure is `Throttled`), by [`FaultInjectingInterface`], and by the
+/// resilience layer — so fault injection and retries stack in any order
+/// over the shaped source.
 pub trait FallibleSearch: Send + Sync {
     /// Execute one probe; `Ok` carries the response and the authoritative
-    /// flag of [`TopKInterface::search_authoritative`].
+    /// flag of [`TopKInterface::search_observed_authoritative`].
     ///
-    /// [`TopKInterface::search_authoritative`]: crate::TopKInterface::search_authoritative
+    /// [`TopKInterface::search_observed_authoritative`]: crate::TopKInterface::search_observed_authoritative
     fn search_fallible(&self, q: &SearchQuery) -> Result<(TopKResponse, bool), SearchError>;
-}
-
-impl FallibleSearch for TrafficShapedInterface {
-    fn search_fallible(&self, q: &SearchQuery) -> Result<(TopKResponse, bool), SearchError> {
-        self.try_search_authoritative(q)
-            .map_err(SearchError::Throttled)
-    }
 }
 
 impl<T: FallibleSearch + ?Sized> FallibleSearch for Arc<T> {
@@ -335,7 +329,7 @@ mod tests {
     use crate::ranking::SystemRanking;
     use crate::schema::Schema;
     use crate::table::TableBuilder;
-    use crate::traffic::SourcePolicy;
+    use crate::traffic::{SourcePolicy, TrafficShapedInterface};
     use crate::TopKInterface;
 
     fn shaped() -> Arc<TrafficShapedInterface> {
@@ -356,7 +350,7 @@ mod tests {
         let q = SearchQuery::all();
         let (resp, authoritative) = faulty.search_fallible(&q).expect("no faults");
         assert!(authoritative);
-        assert_eq!(resp, shaped.try_search(&q).unwrap());
+        assert_eq!(resp, shaped.search_fallible(&q).unwrap().0);
         let stats = faulty.fault_stats();
         assert_eq!(stats.attempts, 1);
         assert_eq!(stats.timeouts + stats.unavailable + stats.malformed, 0);

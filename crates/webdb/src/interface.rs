@@ -99,40 +99,51 @@ pub trait TopKInterface: Send + Sync {
     /// The shared query ledger (cost accounting).
     fn ledger(&self) -> &QueryLedger;
 
-    /// [`search`](TopKInterface::search) plus cost metadata. Raw
-    /// interfaces always report a miss (one real query); caching
-    /// decorators override this to flag free answers so cost accounting
-    /// upstream stays truthful.
-    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
-        (self.search(q), SearchOutcome::MISS)
-    }
-
-    /// [`search`](TopKInterface::search) plus an *authoritative* flag.
-    /// `false` marks a degraded answer — e.g. a remote gateway mapping a
-    /// failed round trip to an empty page — that callers must treat as
-    /// best-effort: a shared answer cache serves it to the waiting
-    /// request but never admits or persists it.
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
-        (self.search(q), true)
-    }
-
+    /// [`search`](TopKInterface::search) plus everything a caller needs
+    /// to account for the page: the cost [`SearchOutcome`] and the
+    /// *authoritative* flag.
+    ///
+    /// This is the one method a decorator overrides; its
+    /// [`search`](TopKInterface::search) is the `.0` projection of it, and
     /// [`search_observed`](TopKInterface::search_observed) and
-    /// [`search_authoritative`](TopKInterface::search_authoritative)
-    /// combined: response, cost metadata, and the authoritative flag in
-    /// one call. Decorator stacks (scheduler under cache) override this so
-    /// a caching layer fetching through a coalescing layer can propagate
-    /// the inner outcome instead of assuming every fetch was a paid miss.
+    /// [`search_authoritative`](TopKInterface::search_authoritative) are
+    /// provided projections, so every reader of a page sees the same
+    /// `(page, outcome, authoritative)`. Raw interfaces keep the default:
+    /// one paid query ([`SearchOutcome::MISS`]), authoritative.
+    ///
+    /// `false` marks a degraded page — the empty page a scheduler returns
+    /// for a failed or cancelled probe, or a remote gateway's failed
+    /// round trip — that callers must treat as best-effort: it is served
+    /// to the waiting request but never turned into lasting state (a
+    /// cache entry, a retired reconstruction region, a dense-index
+    /// region).
     fn search_observed_authoritative(
         &self,
         q: &SearchQuery,
     ) -> (TopKResponse, SearchOutcome, bool) {
-        let (resp, authoritative) = self.search_authoritative(q);
-        (resp, SearchOutcome::MISS, authoritative)
+        (self.search(q), SearchOutcome::MISS, true)
+    }
+
+    /// The page and its cost [`SearchOutcome`]: a projection of
+    /// [`search_observed_authoritative`](TopKInterface::search_observed_authoritative).
+    /// Not an override point.
+    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
+        let (resp, outcome, _) = self.search_observed_authoritative(q);
+        (resp, outcome)
+    }
+
+    /// The page and its authoritative flag: a projection of
+    /// [`search_observed_authoritative`](TopKInterface::search_observed_authoritative).
+    /// Not an override point.
+    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
+        let (resp, _, authoritative) = self.search_observed_authoritative(q);
+        (resp, authoritative)
     }
 }
 
 /// Blanket impl so `Arc<Db>` and `&Db` can be used wherever a
-/// `TopKInterface` is expected.
+/// `TopKInterface` is expected. Only `search` and the full-information
+/// method forward; the projections follow from the latter.
 impl<T: TopKInterface + ?Sized> TopKInterface for std::sync::Arc<T> {
     fn schema(&self) -> &Schema {
         (**self).schema()
@@ -145,12 +156,6 @@ impl<T: TopKInterface + ?Sized> TopKInterface for std::sync::Arc<T> {
     }
     fn ledger(&self) -> &QueryLedger {
         (**self).ledger()
-    }
-    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
-        (**self).search_observed(q)
-    }
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
-        (**self).search_authoritative(q)
     }
     fn search_observed_authoritative(
         &self,
@@ -172,12 +177,6 @@ impl<T: TopKInterface + ?Sized> TopKInterface for &T {
     }
     fn ledger(&self) -> &QueryLedger {
         (**self).ledger()
-    }
-    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
-        (**self).search_observed(q)
-    }
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
-        (**self).search_authoritative(q)
     }
     fn search_observed_authoritative(
         &self,

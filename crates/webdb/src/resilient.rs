@@ -414,11 +414,13 @@ impl ResilientInterface {
         }
         *self.last_error.lock() = Some(err.to_string());
     }
+}
 
+impl FallibleSearch for ResilientInterface {
     /// Execute one probe with retries and breaker protection. `Err` is
     /// either the flow-control `Throttled` (pass-through) or the terminal
     /// fault after retries were exhausted / the breaker rejected.
-    pub fn search_resilient(&self, q: &SearchQuery) -> Result<(TopKResponse, bool), SearchError> {
+    fn search_fallible(&self, q: &SearchQuery) -> Result<(TopKResponse, bool), SearchError> {
         qr2_obs::span("resilient.search", || {
             let probing = match self.breaker.try_acquire() {
                 Admission::Proceed => false,
@@ -481,12 +483,6 @@ impl ResilientInterface {
     }
 }
 
-impl FallibleSearch for ResilientInterface {
-    fn search_fallible(&self, q: &SearchQuery) -> Result<(TopKResponse, bool), SearchError> {
-        self.search_resilient(q)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,7 +529,7 @@ mod tests {
             BreakerConfig::default(),
         );
         let (resp, authoritative) = r
-            .search_resilient(&SearchQuery::all())
+            .search_fallible(&SearchQuery::all())
             .expect("retry recovers");
         assert!(authoritative);
         assert!(!resp.tuples.is_empty());
@@ -563,7 +559,7 @@ mod tests {
             "test",
         );
         let err = r
-            .search_resilient(&SearchQuery::all())
+            .search_fallible(&SearchQuery::all())
             .expect_err("all attempts time out");
         assert_eq!(err.kind(), "timeout");
         assert_eq!(
@@ -586,9 +582,9 @@ mod tests {
         };
         let r = resilient_over(FaultScript::healthy().with_outage(0, u64::MAX), breaker);
         let q = SearchQuery::all();
-        assert!(r.search_resilient(&q).is_err()); // failed probe #1
+        assert!(r.search_fallible(&q).is_err()); // failed probe #1
         assert_eq!(r.health().breaker, "closed");
-        assert!(r.search_resilient(&q).is_err()); // failed probe #2 → open
+        assert!(r.search_fallible(&q).is_err()); // failed probe #2 → open
         let h = r.health();
         assert_eq!(h.breaker, "open");
         assert_eq!(h.breaker_code, 2);
@@ -598,7 +594,7 @@ mod tests {
         // While open, probes are rejected instantly without reaching the
         // fault layer.
         let before = h.unavailable;
-        let err = r.search_resilient(&q).expect_err("breaker open");
+        let err = r.search_fallible(&q).expect_err("breaker open");
         assert_eq!(err.kind(), "unavailable");
         assert!(err.retry_after().is_some());
         assert_eq!(r.health().unavailable, before, "rejected before execution");
@@ -614,12 +610,12 @@ mod tests {
         // source recovers.
         let r = resilient_over(FaultScript::healthy().with_outage(0, 3), breaker);
         let q = SearchQuery::all();
-        assert!(r.search_resilient(&q).is_err());
+        assert!(r.search_fallible(&q).is_err());
         assert_eq!(r.health().breaker, "open");
         std::thread::sleep(Duration::from_millis(10));
         // Cooldown elapsed: the next call is the half-open trial probe,
         // the source is healthy again, the breaker recloses.
-        assert!(r.search_resilient(&q).is_ok());
+        assert!(r.search_fallible(&q).is_ok());
         let h = r.health();
         assert_eq!(h.breaker, "closed");
         assert_eq!(h.consecutive_failures, 0);
@@ -634,10 +630,10 @@ mod tests {
         };
         let r = resilient_over(FaultScript::healthy().with_outage(0, u64::MAX), breaker);
         let q = SearchQuery::all();
-        assert!(r.search_resilient(&q).is_err());
+        assert!(r.search_fallible(&q).is_err());
         assert_eq!(r.health().breaker, "open");
         std::thread::sleep(Duration::from_millis(10));
-        assert!(r.search_resilient(&q).is_err(), "trial probe fails");
+        assert!(r.search_fallible(&q).is_err(), "trial probe fails");
         let h = r.health();
         assert_eq!(h.breaker, "open", "failed probe reopens immediately");
         assert_eq!(h.breaker_opens, 2);
@@ -651,13 +647,13 @@ mod tests {
         };
         let r = resilient_over(FaultScript::healthy().with_outage(0, 3), breaker);
         assert!(matches!(r.breaker_admission(), Admission::Proceed));
-        assert!(r.search_resilient(&SearchQuery::all()).is_err());
+        assert!(r.search_fallible(&SearchQuery::all()).is_err());
         assert!(matches!(r.breaker_admission(), Admission::Rejected { .. }));
         std::thread::sleep(Duration::from_millis(5));
         // The check reports Probe but releases the slot, so the real call
         // can still carry the trial.
         assert!(matches!(r.breaker_admission(), Admission::Probe));
-        assert!(r.search_resilient(&SearchQuery::all()).is_ok());
+        assert!(r.search_fallible(&SearchQuery::all()).is_ok());
         assert_eq!(r.health().breaker, "closed");
     }
 
@@ -684,8 +680,8 @@ mod tests {
             "test",
         );
         let q = SearchQuery::all();
-        assert!(r.search_resilient(&q).is_ok());
-        let err = r.search_resilient(&q).expect_err("bucket empty");
+        assert!(r.search_fallible(&q).is_ok());
+        let err = r.search_fallible(&q).expect_err("bucket empty");
         assert!(err.is_throttled());
         let h = r.health();
         assert_eq!(h.breaker, "closed", "a 429 is not a fault");
@@ -698,8 +694,8 @@ mod tests {
         let shaped = shaped();
         let r = ResilientInterface::passthrough(shaped.clone());
         let q = SearchQuery::all();
-        let (resp, _) = r.search_resilient(&q).expect("healthy");
-        assert_eq!(resp, shaped.try_search(&q).unwrap());
+        let (resp, _) = r.search_fallible(&q).expect("healthy");
+        assert_eq!(resp, shaped.search_fallible(&q).unwrap().0);
         assert_eq!(r.health().breaker, "closed");
     }
 

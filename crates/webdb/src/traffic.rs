@@ -11,10 +11,10 @@
 //!
 //! The decorator exposes two call styles:
 //!
-//! * the *fallible* `try_search*` methods return [`Throttled`] — the
-//!   in-process rendering of an HTTP 429 with a `Retry-After` hint — when
-//!   the policy denies admission, leaving backoff to the caller (the
-//!   scheduler's pacing loop);
+//! * the *fallible* [`FallibleSearch::search_fallible`] returns
+//!   [`SearchError::Throttled`] — the in-process rendering of an HTTP 429
+//!   with a `Retry-After` hint — when the policy denies admission,
+//!   leaving backoff to the caller (the scheduler's pacing loop);
 //! * the plain [`TopKInterface`] methods block, sleeping out each
 //!   `Retry-After` until the query is admitted, so legacy callers that
 //!   predate the scheduler keep working (just slower, as the policy
@@ -28,6 +28,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use crate::fault::{FallibleSearch, SearchError};
 use crate::interface::{SearchOutcome, TopKInterface, TopKResponse};
 use crate::metrics::{LatencyModel, QueryLedger};
 use crate::predicate::SearchQuery;
@@ -313,35 +314,29 @@ impl TrafficShapedInterface {
         self.admitted.fetch_add(1, Ordering::Relaxed);
         Ok(guard)
     }
+}
 
-    /// Fallible search: `Err` is the simulated 429.
-    pub fn try_search(&self, q: &SearchQuery) -> Result<TopKResponse, Throttled> {
-        self.try_search_authoritative(q).map(|(resp, _)| resp)
-    }
-
-    /// Fallible [`TopKInterface::search_authoritative`]: `Err` is the
-    /// simulated 429. On `Ok`, the query was admitted, charged to the
-    /// ledger by the inner interface, and (if configured) delayed by the
-    /// latency model.
-    pub fn try_search_authoritative(
-        &self,
-        q: &SearchQuery,
-    ) -> Result<(TopKResponse, bool), Throttled> {
+impl FallibleSearch for TrafficShapedInterface {
+    /// Fallible search: `Err` is the simulated 429
+    /// ([`SearchError::Throttled`]). On `Ok`, the query was admitted,
+    /// charged to the ledger by the inner interface, and (if configured)
+    /// delayed by the latency model.
+    fn search_fallible(&self, q: &SearchQuery) -> Result<(TopKResponse, bool), SearchError> {
         qr2_obs::span("traffic.shape", || {
-            let guard = self.try_admit()?;
+            let guard = self.try_admit().map_err(SearchError::Throttled)?;
             // The latency model simulates the remote source's round trip,
             // so it counts as webdb.search time.
-            let out = qr2_obs::span("webdb.search", || {
+            let (resp, _, authoritative) = qr2_obs::span("webdb.search", || {
                 let start = Instant::now();
                 if let Some(latency) = &self.latency {
                     std::thread::sleep(latency.sample());
                 }
-                let out = self.inner.search_authoritative(q);
+                let out = self.inner.search_observed_authoritative(q);
                 self.obs_search_us.record(start.elapsed());
                 out
             });
             drop(guard);
-            Ok(out)
+            Ok((resp, authoritative))
         })
     }
 }
@@ -355,29 +350,31 @@ impl TopKInterface for TrafficShapedInterface {
         self.inner.system_k()
     }
 
-    /// Blocking search: sleeps out each `Retry-After` until admitted. This
-    /// is the legacy path for callers without a scheduler; the scheduler
-    /// itself only uses the fallible methods so pacing stays under its
-    /// control.
     fn search(&self, q: &SearchQuery) -> TopKResponse {
-        self.search_authoritative(q).0
+        self.search_observed_authoritative(q).0
     }
 
     fn ledger(&self) -> &QueryLedger {
         self.inner.ledger()
     }
 
-    fn search_observed(&self, q: &SearchQuery) -> (TopKResponse, SearchOutcome) {
-        (self.search(q), SearchOutcome::MISS)
-    }
-
-    fn search_authoritative(&self, q: &SearchQuery) -> (TopKResponse, bool) {
+    /// Blocking search: sleeps out each `Retry-After` until admitted. This
+    /// is the legacy path for callers without a scheduler; the scheduler
+    /// itself only uses [`FallibleSearch::search_fallible`] so pacing
+    /// stays under its control.
+    fn search_observed_authoritative(
+        &self,
+        q: &SearchQuery,
+    ) -> (TopKResponse, SearchOutcome, bool) {
         loop {
-            match self.try_search_authoritative(q) {
-                Ok(out) => return out,
-                Err(throttled) => {
+            match self.search_fallible(q) {
+                Ok((resp, authoritative)) => return (resp, SearchOutcome::MISS, authoritative),
+                Err(err) => {
                     self.waited.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(throttled.retry_after);
+                    std::thread::sleep(
+                        err.retry_after()
+                            .unwrap_or_else(|| self.policy.retry_after_floor()),
+                    );
                 }
             }
         }
@@ -417,9 +414,13 @@ mod tests {
         // denied with a ~1s Retry-After.
         let shaped = TrafficShapedInterface::new(db, SourcePolicy::rate_limited(1.0, 2.0));
         let q = SearchQuery::all();
-        assert!(shaped.try_search(&q).is_ok());
-        assert!(shaped.try_search(&q).is_ok());
-        let denial = shaped.try_search(&q).expect_err("burst exhausted");
+        assert!(shaped.search_fallible(&q).is_ok());
+        assert!(shaped.search_fallible(&q).is_ok());
+        let SearchError::Throttled(denial) =
+            shaped.search_fallible(&q).expect_err("burst exhausted")
+        else {
+            panic!("a denied admission is a 429");
+        };
         assert!(denial.retry_after > Duration::from_millis(500));
         assert!(denial.retry_after_secs() >= 1);
         let stats = shaped.traffic_stats();
@@ -460,9 +461,9 @@ mod tests {
         let db = tiny_db();
         let shaped = TrafficShapedInterface::new(db, SourcePolicy::rate_limited(0.001, 1.0));
         let q = SearchQuery::all();
-        assert!(shaped.try_search(&q).is_ok());
+        assert!(shaped.search_fallible(&q).is_ok());
         let after_first = shaped.ledger().total();
-        assert!(shaped.try_search(&q).is_err());
+        assert!(shaped.search_fallible(&q).is_err());
         assert_eq!(
             shaped.ledger().total(),
             after_first,

@@ -37,8 +37,8 @@ use qr2::service::{
     SessionManager, Source, SourceRegistry,
 };
 use qr2::webdb::{
-    BreakerConfig, FaultScript, RetryPolicy, Schema, SearchQuery, SimulatedWebDb, SourcePolicy,
-    SystemRanking, TableBuilder, TopKInterface,
+    BreakerConfig, FallibleSearch, FaultScript, RetryPolicy, Schema, SearchQuery, SimulatedWebDb,
+    SourcePolicy, SystemRanking, TableBuilder, TopKInterface,
 };
 
 /// A deterministic two-attribute database: `x0` counts up, `x1` is a
@@ -120,7 +120,7 @@ fn open_breaker(reg: &Arc<SourceRegistry>, n: usize) {
     let source = reg.get("chaos").unwrap();
     let q = SearchQuery::all();
     for _ in 0..n {
-        assert!(source.sched.resilient().search_resilient(&q).is_err());
+        assert!(source.sched.resilient().search_fallible(&q).is_err());
     }
     assert_eq!(source.sched.resilient().health().breaker, "open");
 }

@@ -21,8 +21,8 @@ use qr2::service::{
     QueryRequest, QueryService, RankingDto, SessionManager, Source, SourceRegistry,
 };
 use qr2::webdb::{
-    RangePred, SearchQuery, SimulatedWebDb, SourcePolicy, SystemRanking, TableBuilder,
-    TopKInterface, TrafficShapedInterface,
+    FallibleSearch, RangePred, SearchQuery, SimulatedWebDb, SourcePolicy, SystemRanking,
+    TableBuilder, TopKInterface, TrafficShapedInterface,
 };
 
 /// A deterministic one-attribute database: rows at integer positions,
@@ -166,7 +166,7 @@ fn interactive_class_dispatches_before_queued_background() {
     // Drain the single burst token.
     sched
         .shaped()
-        .try_search(&range(db.as_ref(), 900.0, 1000.0))
+        .search_fallible(&range(db.as_ref(), 900.0, 1000.0))
         .unwrap();
 
     let finish_order = AtomicU64::new(0);
@@ -209,7 +209,7 @@ fn frontier_coalescing_issues_one_covering_query_with_exact_answers() {
     let sched = sched_over(db.clone(), SourcePolicy::rate_limited(5.0, 1.0));
     sched
         .shaped()
-        .try_search(&range(db.as_ref(), 900.0, 1000.0))
+        .search_fallible(&range(db.as_ref(), 900.0, 1000.0))
         .unwrap();
     let paid_before = db.ledger().total();
 
@@ -263,7 +263,7 @@ fn saturated_source_returns_structured_503_with_retry_after() {
         SchedConfig::default(),
     );
     let burner = range(&x_db(1, 1), 0.0, 1000.0);
-    source.sched.shaped().try_search(&burner).unwrap();
+    source.sched.shaped().search_fallible(&burner).unwrap();
 
     let err = service
         .create_query("x", &query_request(0.0, 40.0, None))
@@ -398,7 +398,7 @@ fn delete_drains_the_sessions_pending_scheduler_entries() {
     // Exhaust whatever burst the first page left behind, so the next
     // page must park in the scheduler (~5 s per fresh token).
     let burner = range(db.as_ref(), 900.0, 1000.0);
-    while source.sched.shaped().try_search(&burner).is_ok() {}
+    while source.sched.shaped().search_fallible(&burner).is_ok() {}
 
     let id = first.query_id.clone();
     std::thread::scope(|scope| {
